@@ -1,17 +1,7 @@
 """Helpers for the benchmark harness."""
 
-from repro.bench import append_bench_log
 
-
-def show(title: str, body: str, data=None) -> None:
-    """Print a rendered experiment table and append it to the shared
-    bench log (see :func:`repro.bench.append_bench_log`), so the pytest
-    tables and ``repro bench`` reports land in one machine-readable
-    stream.  ``data`` optionally carries the structured rows behind the
-    rendered table."""
+def show(title: str, body: str) -> None:
+    """Print a rendered experiment table under a title banner."""
     print(f"\n=== {title} ===")
     print(body)
-    record = {"kind": "table", "title": title, "body": body}
-    if data is not None:
-        record["data"] = data
-    append_bench_log(record)

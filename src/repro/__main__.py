@@ -13,7 +13,6 @@ Commands
 ``cache``      inspect or clear the on-disk result and trace caches
 ``fuzz``       cross-tier identity property sweep (stress suite +
                seeded adversarial traces); exit 1 on any violation
-``bench``      wall-clock benchmark -> BENCH_simulator.json
 ``trace``      export a sweep's fabric spans as a Chrome trace (one lane
                per pool worker) plus a pool-utilization report
 ``metrics``    print a sweep's metrics registry (runs/<id>/metrics.json)
@@ -37,10 +36,10 @@ reads like any lifecycle trace.
 Parallel sweeps share each compiled trace's numpy columns over named
 shared-memory segments and dispatch fine-grained units with work
 stealing (see docs/performance.md): ``REPRO_SHM=0`` disables segment
-publication, ``REPRO_STEAL=0`` pins the legacy static FIFO chunks,
-``REPRO_FUSION=0`` disables cell fusion, and ``REPRO_MP_CONTEXT``
-selects the pool start method (``fork`` default / ``spawn`` /
-``forkserver`` — figures are bit-identical across all of them).
+publication, ``REPRO_FUSION=0`` disables cell fusion, and
+``REPRO_MP_CONTEXT`` selects the pool start method (``fork`` default /
+``spawn`` / ``forkserver`` — figures are bit-identical across all of
+them).
 """
 
 from __future__ import annotations
@@ -410,12 +409,6 @@ def _cmd_fuzz(args) -> None:
         sys.exit(1)
 
 
-def _cmd_bench(argv: list[str]) -> None:
-    from repro import bench
-
-    sys.exit(bench.main(argv))
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -607,19 +600,6 @@ def main(argv: list[str] | None = None) -> None:
         help="write the full JSON report (violation details included)",
     )
     fuzz_parser.set_defaults(func=_cmd_fuzz)
-
-    commands.add_parser(
-        "bench",
-        help="wall-clock benchmark -> BENCH_simulator.json "
-             "(see repro.bench for flags)",
-    )
-
-    # argparse.REMAINDER does not pass leading optionals through a
-    # subparser, so bench owns its whole argument list directly.
-    argv = argv if argv is not None else sys.argv[1:]
-    if argv[:1] == ["bench"]:
-        _cmd_bench(argv[1:])
-        return
 
     args = parser.parse_args(argv)
     try:

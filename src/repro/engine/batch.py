@@ -49,10 +49,10 @@ fill-to-resident), :class:`~repro.memory.shadow.ShadowTagStore`, and
 :class:`~repro.memory.dram.Dram`'s row-buffer transitions; the replay
 loop reproduces the generated scalar kernel's issue/commit arithmetic
 and the hierarchy's timing algebra line for line.
-``tests/test_kernels.py`` plus the bench's in-run ``batch`` parity
-section pin it.  ``REPRO_KERNEL=scalar`` disables only this tier
-(keeping the scalar specialized kernels) — the comparator the bench's
-``batch.speedup_vs_scalar`` measures against — while
+``tests/test_kernels.py`` pins it, over small traces and over the gate
+matrix's hook-free cells.  ``REPRO_KERNEL=scalar`` disables only this
+tier (keeping the scalar specialized kernels) — the comparator the
+``perfgate`` batch speed gate measures against — while
 ``REPRO_KERNEL=generic`` still disables all specialization.
 
 Eligibility is deliberately conservative: any deviation — warm core or

@@ -28,7 +28,7 @@ nothing reads them mid-run without telemetry attached.
 Bit-identity is the contract: a specialized kernel must retire every
 instruction with exactly the timing of the generic loop — only wall
 clock may change, never a number.  ``tests/test_kernels.py`` pins this
-registry-wide, and ``repro bench`` re-checks it in-run against the
+registry-wide and over the gate matrix against the
 ``REPRO_KERNEL=generic`` escape hatch (which disables specialization
 entirely, e.g. to bisect a suspected kernel bug).
 
@@ -53,8 +53,9 @@ GENERIC = "generic"
 SCALAR = "scalar"
 """``REPRO_KERNEL=scalar`` disables only the vectorized batch tier
 (:mod:`repro.engine.batch`), keeping the scalar specialized kernels —
-the comparator ``repro bench`` measures ``batch.speedup_vs_scalar``
-against.  ``REPRO_KERNEL=generic`` still disables all specialization."""
+the comparator the batch and segmented tiers' identity tests and
+speed gates (``tests/test_kernels.py``) measure against.
+``REPRO_KERNEL=generic`` still disables all specialization."""
 
 _KERNELS: dict[tuple, object] = {}
 

@@ -98,9 +98,9 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
         Provenance strings recorded in the result's manifest (the
         experiment runner passes its cache tag and stable spec key).
     collect_footprint:
-        When False the hierarchy skips the per-line miss Counters (lean
-        throughput mode for ``repro bench``); every scope/coverage
-        analysis needs the default True.
+        When False the hierarchy skips the per-line miss Counters (a
+        lean throughput mode); every scope/coverage analysis needs the
+        default True.
     """
     prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
     config = config or EXPERIMENT_CONFIG

@@ -25,7 +25,7 @@ every degradation leaves an auditable trail:
   with ``python -m repro events``.
 * **Chaos harness** — :mod:`~repro.faults.chaos` deterministically
   injects worker kills, slow cells, torn cache writes, and corrupted
-  pickles (``REPRO_CHAOS``; ``repro bench --chaos``), which is how the
+  pickles (``REPRO_CHAOS``; ``tests/test_faults.py``), which is how the
   guarantees above stay tested instead of aspirational.
 
 See ``docs/robustness.md`` for the failure model and knob reference.

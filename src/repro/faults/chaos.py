@@ -122,8 +122,8 @@ def set_chaos(config: "ChaosConfig | None") -> None:
 
     Note: pool workers inherit the *environment*, not this override —
     for cross-process injection export ``config.spec()`` via
-    ``REPRO_CHAOS`` before the pool spawns (``repro bench --chaos``
-    does exactly that).
+    ``REPRO_CHAOS`` before the pool spawns (the degraded-matrix test
+    in ``tests/test_faults.py`` does exactly that).
     """
     global _override
     _override = config

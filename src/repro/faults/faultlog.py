@@ -25,7 +25,7 @@ correlate with the sweep's ``runs/<id>/spans.jsonl`` and ``repro
 events`` output lines up with ``repro trace``.
 
 A module-level counter mirror (:func:`fault_counters`) gives in-process
-consumers — ``repro bench --chaos``, the runner, tests — the same
+consumers — the runner, the chaos tests — the same
 totals without re-reading the log.  When a fabric obs is current
 (:func:`repro.obs.current`), each fault also increments its
 ``faults.<kind>`` metric, which is how retry and chaos-recovery counts

@@ -199,7 +199,7 @@ class Trace:
 TRACE_FIELDS = ("pc", "opc", "addr", "value", "dst", "src1", "src2",
                 "taken", "target_pc", "ras_top")
 """Column order shared by :class:`CompiledTrace`, the trace cache's
-serialized form, and :mod:`repro.isa.traceio`."""
+serialized form, and the shared-memory column layout."""
 
 TRACE_FIELD_TYPECODES = ("q", "b", "q", "q", "b", "b", "b", "b", "q", "q")
 """:mod:`array` typecode per column for serialization (``q`` = signed
@@ -208,8 +208,8 @@ included)."""
 
 NUMPY_TYPECODES = {"q": "int64", "b": "int8"}
 """numpy dtype name per :mod:`array` typecode — the single translation
-table shared by the trace cache, :mod:`repro.isa.traceio`, and the
-shared-memory column layout (:mod:`repro.parallel.shm`)."""
+table shared by the trace cache and the shared-memory column layout
+(:mod:`repro.parallel.shm`)."""
 
 
 def numpy_dtype(code: str) -> str:
@@ -330,7 +330,7 @@ class CompiledTrace:
     @classmethod
     def from_arrays(cls, name: str, arrays: tuple,
                     memory: dict[int, int]) -> "CompiledTrace":
-        """Build an array-backed trace (trace cache format 3 / traceio).
+        """Build an array-backed trace (trace cache format 3).
 
         ``arrays`` holds one numpy array per :data:`TRACE_FIELDS` entry
         (``taken`` must be bool dtype).  The list columns are *not*

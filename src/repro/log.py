@@ -1,14 +1,14 @@
 """Leveled progress logging for the harness CLIs (``REPRO_LOG``).
 
-``repro bench`` and ``report_all`` used to narrate progress with ad-hoc
+``report_all`` used to narrate progress with ad-hoc
 ``print(..., file=sys.stderr)`` lines — fine for a terminal, useless for
 the queued sweep server or a CI job that wants structured progress.
 This module is the one knob:
 
 * ``REPRO_LOG=text`` (default) — human-readable lines on stderr
-  (``serial pass over 12 cells jobs=4``).
+  (``simulations: 12 fresh, 0 memoized, ...``).
 * ``REPRO_LOG=json`` — one JSON object per line
-  (``{"ts": ..., "level": "info", "logger": "bench", "msg": ...}``),
+  (``{"ts": ..., "level": "info", "logger": "report", "msg": ...}``),
   extra keyword fields included verbatim — what a server/CI consumer
   tails.
 * ``REPRO_LOG=quiet`` — progress suppressed; errors still print

@@ -1,15 +1,14 @@
 """Pool-utilization and straggler attribution from fabric spans.
 
-Turns a sweep's span stream into the report that makes a
-``parallel.speedup_vs_serial: 0.82`` diagnosable: per-worker busy/idle
+Turns a sweep's span stream into the report that makes a slow
+parallel sweep diagnosable: per-worker busy/idle
 seconds and idle fraction, fused-unit imbalance (the max/mean unit
 duration ratio — a high value means one unit strangled the sweep while
 its lane-mates idled), per-worker executed steals (units a lane took
 from another workload's queue — the work-stealing scheduler's
 rebalancing, see :mod:`repro.parallel.stealing`), and the critical-path
 cell (the single longest cell attempt, with its kernel variant).
-Consumed by ``repro trace``, ``repro bench``'s parallel section, and
-tests.
+Consumed by ``repro trace`` and tests.
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ Performance properties (PR 2-3, reworked by the shared-memory PR):
   steals from the tail of the deepest other queue, so one straggling
   workload can no longer strand its lane-mates idle.  Steals surface
   as ``steal`` spans, ``pool.steals`` metrics, and the straggler
-  report's "steals" column.  ``REPRO_STEAL=0`` restores the legacy
-  coarse FIFO chunks; ``REPRO_FUSION=0`` restores singleton dispatch.
+  report's "steals" column.  ``REPRO_FUSION=0`` restores singleton
+  dispatch.
 
 Fault-tolerance properties (this layer; see docs/robustness.md):
 
@@ -100,7 +100,7 @@ from typing import Sequence
 from repro.engine.config import SystemConfig
 from repro.obs.spans import cell_span_id
 from repro.parallel import shm
-from repro.parallel.stealing import StealScheduler, stealing_enabled
+from repro.parallel.stealing import StealScheduler
 
 SimJob = tuple  # (workload, spec, tag) — see ``normalize_job``
 
@@ -126,8 +126,8 @@ def serial_fallback_reason(pool_cells: int, n_jobs: int) -> str | None:
     Two regimes where worker spawn + result pickling reliably cost more
     than the parallelism wins back: a host with at most two CPUs (the
     workers only time-slice cores the parent is already saturating —
-    the measured ``repro bench`` outcome on such hosts was a 0.82x
-    *slowdown*), and a matrix with fewer pool-eligible cells than
+    the measured outcome of a parallel sweep on such hosts was a
+    0.82x *slowdown*), and a matrix with fewer pool-eligible cells than
     :data:`MIN_POOL_CELLS` (spawn overhead is amortized over too little
     work).  Used by :func:`run_jobs` when the caller opts in via
     ``auto_serial=True``; callers that need real workers regardless —
@@ -418,13 +418,11 @@ def _fusion_units(remote, normalized, workers) -> list[tuple]:
 
     Cells sharing a workload land in the same unit (in submission
     order) so a worker pays trace adoption once per workload and
-    replays all its prefetcher configs back-to-back.  With work
-    stealing (the default) units are fine-grained —
-    ``ceil(len(remote) / (workers * 4))`` cells, at most 8 — because
-    shared-memory trace columns removed the per-unit trace-load cost,
-    and small units are what give the stealing scheduler room to
-    rebalance a straggling workload.  ``REPRO_STEAL=0`` restores the
-    legacy coarse chunks (``ceil(len(remote) / (workers * 2))``);
+    replays all its prefetcher configs back-to-back.  Units are
+    fine-grained — ``ceil(len(remote) / (workers * 4))`` cells, at most
+    8 — because shared-memory trace columns removed the per-unit
+    trace-load cost, and small units are what give the stealing
+    scheduler room to rebalance a straggling workload.
     ``REPRO_FUSION=0`` disables grouping entirely (singleton units) —
     the escape hatch the fusion identity test pins against.
     """
@@ -433,10 +431,7 @@ def _fusion_units(remote, normalized, workers) -> list[tuple]:
     groups: dict[str, list[int]] = {}
     for i in remote:
         groups.setdefault(normalized[i][0], []).append(i)
-    if stealing_enabled():
-        chunk = max(1, min(-(-len(remote) // (workers * 4)), 8))
-    else:
-        chunk = max(1, -(-len(remote) // (workers * 2)))
+    chunk = max(1, min(-(-len(remote) // (workers * 4)), 8))
     units = []
     for indices in groups.values():
         for start in range(0, len(indices), chunk):
@@ -716,7 +711,7 @@ def _run_pool(remote, local, normalized, config, results, workers,
     # backoff expires at, enqueued when it entered its home queue
     # (queue-wait and steal-latency attribution).
     start = time.monotonic()
-    scheduler = StealScheduler(fifo=not stealing_enabled())
+    scheduler = StealScheduler()
     for unit in _fusion_units(remote, normalized, workers):
         scheduler.push(normalized[unit[0]][0], unit, 0, 0.0, start)
     # future -> (unit, attempt, dispatched_at, wall_t0, queue_wait,

@@ -29,8 +29,7 @@ single load, single store, ALU-only) that only ever break edge-case
 handling, never throughput.
 
 ``repro fuzz --seeds N`` runs the harness over the stress suite plus N
-fuzzed traces and exits nonzero on any violation; ``repro bench
---fuzz`` embeds a small sweep as a report section and gate.  Harness
+fuzzed traces and exits nonzero on any violation.  Harness
 counters mirror into the current fabric obs (``fuzz.*`` in ``repro
 metrics``) like every other subsystem's.
 """

@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ from repro.faults import (
 from repro.faults import chaos
 from repro.faults.atomic import tmp_path_for
 from repro.faults.journal import MatrixJournal
-from repro.parallel import run_jobs, shutdown_pool
+from repro.parallel import run_jobs, shutdown_pool, warm_traces
 from repro.resultcache import digest_sources
 
 APP = "spec.libquantum"
@@ -191,6 +192,64 @@ def test_chaos_kill_never_fires_in_parent(monkeypatch):
     result = simulate_spec(APP, "none", "", EXPERIMENT_CONFIG)
     results = run_jobs([(APP, "none")], EXPERIMENT_CONFIG, 1)
     assert _figures(results[0]) == _figures(result)
+
+
+def test_degraded_matrix_matches_clean_serial_and_resumes(tmp_path,
+                                                         monkeypatch):
+    """One sweep under all three chaos directives: the first cell's
+    worker is killed, the last cell is slowed past the per-cell timeout,
+    and the second cell's result-cache entry is corrupted.  The matrix
+    must finish with zero failed cells and figures identical to a clean
+    serial run, and a journal resume may re-simulate only the corrupted
+    cell."""
+    matrix = [(w, p) for w in (APP, "spec.mcf")
+              for p in ("none", "bop", "tpc")]
+    # The slow cell must dispatch after the kill has broken the first
+    # pool, so it still carries attempt 0 (chaos fires on the first
+    # attempt only).  Workload-affine fusion puts the kill cell in the
+    # first unit and the slow cell in the last; with a timeout set,
+    # dispatch is windowed at one unit per worker, and fewer workers
+    # than cells keeps the slow unit pending at the break.
+    jobs = len(matrix) - 2
+    warm_traces(w for w, _ in matrix)
+    reference = {}
+    slowest = 0.0
+    for cell in matrix:
+        started = time.perf_counter()
+        reference[cell] = _figures(simulate_spec(*cell, "",
+                                                 EXPERIMENT_CONFIG))
+        slowest = max(slowest, time.perf_counter() - started)
+
+    timeout = max(4.0 * slowest, 2.0)
+    (kill_w, kill_s), (corrupt_w, corrupt_s) = matrix[:2]
+    slow_w, slow_s = matrix[-1]
+    shutdown_pool()  # fresh pool must fork with the chaos env below
+    monkeypatch.setenv(chaos.CHAOS_ENV,
+                       f"kill={kill_w}/{kill_s};"
+                       f"slow={slow_w}/{slow_s}:{3.0 * timeout:.1f};"
+                       f"corrupt={corrupt_w}/{corrupt_s}")
+    chaos.reset_chaos()
+
+    def runner():
+        return ExperimentRunner(
+            EXPERIMENT_CONFIG, cache_dir=str(tmp_path / "cache"),
+            journal_dir=str(tmp_path / "journal"), jobs=jobs,
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05,
+                              timeout_seconds=timeout))
+
+    degraded = runner()
+    degraded.prefill(matrix)
+    assert degraded.counters["failed_cells"] == 0
+    assert {c: _figures(degraded.run(*c)) for c in matrix} == reference
+
+    resumed = runner()
+    resumed.prefill(matrix)
+    assert {c: _figures(resumed.run(*c)) for c in matrix} == reference
+    # The corrupted entry is the only legitimate re-simulation.
+    assert resumed.counters["simulated"] <= 1
+    counters = fault_counters()
+    for kind in ("worker_lost", "cell_timeout", "cache_corrupt"):
+        assert counters.get(kind, 0) >= 1, kind
 
 
 # ----------------------------------------------------------------------

@@ -12,20 +12,34 @@ selection, scalar/generic escape hatches, degenerate segmentations, and
 identity under injected cache corruption.  The segmented tier (hooked
 cells) mirrors it: hook islands at the trace boundaries, back-to-back
 islands, the all-event degrade to scalar, and chaos corrupt/resume.
+
+The gate matrix — ``spec.{libquantum,mcf,milc,astar}`` x
+``{none,bop,tpc}``, the paper's hot cells — pins every tier at full
+workload size: no cell falls back to the generic loop, the hook-free
+cells run the batch tier and the bop/tpc cells the segmented tier, each
+bit-identical to its escape hatch.  The same matrix carries the tiers'
+speed gates, marked ``perfgate`` and deselected by default (run them
+with ``pytest -m perfgate``): specialized >= 1.0x over generic, batch
+>= 2.0x and segmented >= 1.5x (aggregate) over scalar, and a 2-job
+parallel pass faster than serial unless the pool falls back to serial.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import time
 
 import pytest
 
 from conftest import build_chain_trace, build_strided_trace
-from repro.engine.batch import BATCH_VARIANT, segment_max_coverage
+from repro.engine.batch import (BATCH_VARIANT, SEGMENT_PREFIX,
+                                segment_max_coverage)
 from repro.engine.config import EXPERIMENT_CONFIG
 from repro.engine.kernel import (GENERIC, KERNEL_ENV, SCALAR, kernel_flags,
                                  variant_name)
 from repro.engine.system import simulate
+from repro.experiments.runner import simulate_spec
 from repro.isa import Assembler, Machine
 from repro.isa.trace import (
     DERIVED_FIELDS,
@@ -35,9 +49,9 @@ from repro.isa.trace import (
     derived_counters,
 )
 from repro.parallel import FUSION_ENV, _fusion_units, run_jobs, shutdown_pool
-from repro.parallel.stealing import STEAL_ENV
 from repro.prefetcher_registry import available_prefetchers, make_prefetcher
 from repro.telemetry import Telemetry
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -181,14 +195,10 @@ def test_derived_columns_round_trip(chain):
 def test_fusion_units_group_by_workload(monkeypatch):
     normalized = [("a", "s1", ""), ("b", "s1", ""), ("a", "s2", ""),
                   ("b", "s2", "")]
-    # Default (stealing): fine-grained workload-affine units —
-    # ceil(4 / (1 * 4)) = 1 cell each, grouped by workload.
+    # Fine-grained workload-affine units — ceil(4 / (1 * 4)) = 1 cell
+    # each, grouped by workload.
     units = _fusion_units([0, 1, 2, 3], normalized, 1)
     assert units == [(0,), (2,), (1,), (3,)]
-    # Legacy static discipline: coarse ceil(4 / (1 * 2)) = 2 chunks.
-    monkeypatch.setenv(STEAL_ENV, "0")
-    assert _fusion_units([0, 1, 2, 3], normalized, 1) == [(0, 2), (1, 3)]
-    monkeypatch.delenv(STEAL_ENV)
     monkeypatch.setenv(FUSION_ENV, "0")
     assert _fusion_units([0, 1, 2, 3], normalized, 1) == [
         (0,), (1,), (2,), (3,)]
@@ -307,7 +317,7 @@ def test_batch_identity_under_chaos_corrupt_and_resume(tmp_path):
     """A chaos-corrupted cache write under the batch tier is a miss on
     re-read; the resumed runner re-simulates once and reproduces the
     reference figures exactly."""
-    from repro.experiments.runner import ExperimentRunner, simulate_spec
+    from repro.experiments.runner import ExperimentRunner
     from repro.faults import chaos, fault_counters, reset_fault_counters
 
     app = "spec.libquantum"
@@ -405,7 +415,7 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
     """A chaos-corrupted cache write under the segmented tier is a miss
     on re-read; the resumed runner re-simulates once and reproduces the
     reference figures exactly."""
-    from repro.experiments.runner import ExperimentRunner, simulate_spec
+    from repro.experiments.runner import ExperimentRunner
     from repro.faults import chaos, fault_counters, reset_fault_counters
 
     app = "spec.libquantum"
@@ -430,6 +440,147 @@ def test_segmented_identity_under_chaos_corrupt_and_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Gate matrix: every tier on the paper's hot cells
+# ----------------------------------------------------------------------
+GATE_MATRIX = [(w, p)
+               for w in ("spec.libquantum", "spec.mcf", "spec.milc",
+                         "spec.astar")
+               for p in ("none", "bop", "tpc")]
+BATCH_CELLS = [cell for cell in GATE_MATRIX if cell[1] == "none"]
+SEGMENTED_CELLS = [cell for cell in GATE_MATRIX if cell[1] != "none"]
+
+
+def _run_cells(cells) -> list:
+    return [simulate_spec(w, p, "", EXPERIMENT_CONFIG) for w, p in cells]
+
+
+@pytest.fixture(scope="module")
+def gate_results():
+    """Each gate-matrix cell under the default dispatch (``None``) and
+    under each ``REPRO_KERNEL`` escape hatch."""
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for tier in (None, SCALAR, GENERIC):
+            if tier is not None:
+                mp.setenv(KERNEL_ENV, tier)
+            results[tier] = dict(zip(GATE_MATRIX, _run_cells(GATE_MATRIX)))
+    return results
+
+
+def test_gate_matrix_specialized_matches_generic(gate_results):
+    default, generic = gate_results[None], gate_results[GENERIC]
+    fallbacks = [cell for cell in GATE_MATRIX
+                 if default[cell].kernel == GENERIC]
+    assert not fallbacks, f"generic fallback selected for {fallbacks}"
+    for cell in GATE_MATRIX:
+        assert generic[cell].kernel == GENERIC
+        assert _identity(default[cell]) == _identity(generic[cell]), cell
+
+
+def test_gate_matrix_batch_cells_match_scalar(gate_results):
+    default, scalar = gate_results[None], gate_results[SCALAR]
+    for cell in BATCH_CELLS:
+        assert default[cell].kernel == BATCH_VARIANT, cell
+        assert scalar[cell].kernel.startswith("fast+"), cell
+        assert _identity(default[cell]) == _identity(scalar[cell]), cell
+
+
+def test_gate_matrix_segmented_cells_match_scalar(gate_results):
+    default, scalar = gate_results[None], gate_results[SCALAR]
+    for cell in SEGMENTED_CELLS:
+        assert default[cell].kernel.startswith(SEGMENT_PREFIX), cell
+        assert scalar[cell].kernel.startswith("fast+"), cell
+    broken = [cell for cell in SEGMENTED_CELLS
+              if _identity(default[cell]) != _identity(scalar[cell])]
+    assert not broken, f"segmented tier diverged from scalar on {broken}"
+
+
+# ----------------------------------------------------------------------
+# Gate matrix: speed gates (``pytest -m perfgate``; host-timed, so not
+# part of the default run)
+# ----------------------------------------------------------------------
+def _seconds(cells) -> float:
+    started = time.perf_counter()
+    _run_cells(cells)
+    return time.perf_counter() - started
+
+
+def _fastest_of_3(cells) -> float:
+    """One untimed settle pass (kernel compilation, plan builds, the
+    interpreter's bytecode warm-up), then the fastest of 3 timed
+    passes: host noise only ever slows a pass down."""
+    _run_cells(cells)
+    return min(_seconds(cells) for _ in range(3))
+
+
+@pytest.fixture(scope="module")
+def warm_gate_traces():
+    """Build the gate matrix's traces (and their record views) once and
+    move everything alive into the GC's permanent generation, so
+    rescanning trace objects is not timed as simulation."""
+    for workload in dict.fromkeys(w for w, _ in GATE_MATRIX):
+        get_workload(workload).trace().records
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.fixture(scope="module")
+def serial_seconds(warm_gate_traces):
+    return _fastest_of_3(GATE_MATRIX)
+
+
+@pytest.mark.perfgate
+def test_specialized_not_slower_than_generic(serial_seconds, monkeypatch):
+    monkeypatch.setenv(KERNEL_ENV, GENERIC)
+    speedup = round(_seconds(GATE_MATRIX) / serial_seconds, 2)
+    print(f"specialized vs generic: {speedup}x")
+    assert speedup >= 1.0
+
+
+@pytest.mark.perfgate
+def test_batch_tier_2x_over_scalar(warm_gate_traces, monkeypatch):
+    batch = _fastest_of_3(BATCH_CELLS)
+    monkeypatch.setenv(KERNEL_ENV, SCALAR)
+    speedup = round(_fastest_of_3(BATCH_CELLS) / batch, 2)
+    print(f"batch vs scalar: {speedup}x over {len(BATCH_CELLS)} cells")
+    assert speedup >= 2.0
+
+
+@pytest.mark.perfgate
+def test_segmented_tier_1_5x_over_scalar(warm_gate_traces, monkeypatch):
+    def per_cell() -> list:
+        _run_cells(SEGMENTED_CELLS)
+        return [min(_seconds([cell]) for _ in range(3))
+                for cell in SEGMENTED_CELLS]
+
+    segmented = per_cell()
+    monkeypatch.setenv(KERNEL_ENV, SCALAR)
+    scalar = per_cell()
+    for cell, seg, sca in zip(SEGMENTED_CELLS, segmented, scalar):
+        print(f"segmented {cell[0]}/{cell[1]}: {sca / seg:.2f}x")
+    speedup = round(sum(scalar) / sum(segmented), 2)
+    print(f"segmented vs scalar: {speedup}x aggregate")
+    assert speedup >= 1.5
+
+
+@pytest.mark.perfgate
+def test_parallel_pass_faster_than_serial(serial_seconds):
+    timings: dict = {}
+    started = time.perf_counter()
+    run_jobs(GATE_MATRIX, EXPERIMENT_CONFIG, 2, timings=timings,
+             auto_serial=True)
+    elapsed = time.perf_counter() - started
+    shutdown_pool()
+    if timings.get("fallback"):
+        pytest.skip(f"serial fallback: {timings.get('fallback_reason')}")
+    speedup = round(serial_seconds / elapsed, 2)
+    print(f"parallel at 2 jobs vs serial: {speedup}x")
+    assert speedup > 1.0
+
+
+# ----------------------------------------------------------------------
 # Attribution
 # ----------------------------------------------------------------------
 def test_manifest_carries_kernel_but_run_id_ignores_it(strided, monkeypatch):
@@ -442,20 +593,6 @@ def test_manifest_carries_kernel_but_run_id_ignores_it(strided, monkeypatch):
     # Bit-identical by contract, so both land in the same run directory.
     assert fast.manifest.run_id == slow.manifest.run_id
     assert fast.manifest.as_dict()["kernel"] == fast.kernel
-
-
-def test_parallel_phases_reads_both_schemas():
-    """The parallel phase breakdown is serialized once (parallel.phases);
-    the reader must still understand pre-dedupe logs (phases.parallel)."""
-    from repro.bench import parallel_phases
-
-    current = {"parallel": {"phases": {"simulate_seconds": 1.0}},
-               "phases": {"trace_build_seconds": 2.0}}
-    old = {"parallel": {"jobs": 4},
-           "phases": {"parallel": {"simulate_seconds": 3.0}}}
-    assert parallel_phases(current) == {"simulate_seconds": 1.0}
-    assert parallel_phases(old) == {"simulate_seconds": 3.0}
-    assert parallel_phases({}) == {}
 
 
 def test_journal_records_kernel(tmp_path):

@@ -1,11 +1,8 @@
-"""Tests for the Markov prefetcher, trace serialization, and the CLI."""
+"""Tests for the Markov prefetcher, the future-work extras, and the CLI."""
 
-import pytest
-
-from conftest import build_strided_trace, feed_stream, make_event
+from conftest import feed_stream, make_event
 
 from repro.baselines.markov import MarkovPrefetcher
-from repro.isa.traceio import load_trace, save_trace
 
 
 class TestMarkov:
@@ -58,42 +55,6 @@ class TestMarkov:
     def test_storage_is_large(self):
         # The paper: "Markov prefetchers require a lot of storage."
         assert MarkovPrefetcher().storage_bits / 8 / 1024 > 20
-
-
-class TestTraceIo:
-    def test_roundtrip(self, tmp_path):
-        trace = build_strided_trace(elements=500)
-        path = str(tmp_path / "trace.npz")
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.name == trace.name
-        assert len(loaded) == len(trace)
-        for original, restored in zip(trace.records, loaded.records):
-            assert original.pc == restored.pc
-            assert original.opc == restored.opc
-            assert original.addr == restored.addr
-            assert original.value == restored.value
-            assert original.dst == restored.dst
-            assert original.taken == restored.taken
-        assert loaded.memory == trace.memory
-
-    def test_loaded_trace_simulates_identically(self, tmp_path):
-        from repro import make_prefetcher, simulate
-        trace = build_strided_trace(elements=800)
-        path = str(tmp_path / "trace.npz")
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        a = simulate(trace, make_prefetcher("tpc"))
-        b = simulate(loaded, make_prefetcher("tpc"))
-        assert a.cycles == b.cycles
-        assert a.prefetch.issued == b.prefetch.issued
-
-    def test_version_check(self, tmp_path):
-        import numpy as np
-        path = str(tmp_path / "bad.npz")
-        np.savez(path, version=np.int32(99))
-        with pytest.raises(ValueError, match="version"):
-            load_trace(path)
 
 
 class TestCli:

@@ -347,9 +347,8 @@ def test_logger_modes(monkeypatch, capsys):
 
 
 def test_bench_quick_json_progress(monkeypatch, capsys):
-    # The bench CLI narrates through the leveled logger; json mode must
-    # yield machine-parseable progress lines.  (Smoke: argument wiring
-    # only, not a timed benchmark.)
+    # The harness CLIs narrate through the leveled logger; json mode
+    # must yield machine-parseable progress lines.
     from repro.log import LOG_ENV, log_mode
 
     monkeypatch.setenv(LOG_ENV, "json")
@@ -382,24 +381,32 @@ def test_runner_prefill_threads_obs_through_pool(tmp_path, monkeypatch):
     assert snapshot["gauges"]["pool.workers"] >= 1
 
 
+def _observed_auto_serial_sweep(jobs: int) -> tuple[dict, dict]:
+    """A ``run_jobs(auto_serial=True)`` sweep under a fresh FabricObs:
+    returns its timings and its pool report."""
+    obs = FabricObs("auto-serial-sweep")
+    timings: dict = {}
+    run_jobs(MATRIX, EXPERIMENT_CONFIG, jobs, timings=timings, obs=obs,
+             auto_serial=True)
+    obs.finish()
+    shutdown_pool()
+    return timings, pool_report(obs.records())
+
+
 def test_bench_parallel_reports_workers(monkeypatch):
     monkeypatch.setenv(faultlog.FAULT_LOG_ENV, "")
-    from repro.bench import bench_parallel
-
     # Pin the pool path: this test is about per-worker reporting, so
     # the low-CPU/small-matrix serial fallback must not preempt it.
     monkeypatch.setattr(parallel, "serial_fallback_reason",
                         lambda *args: None)
-    section = bench_parallel(MATRIX, EXPERIMENT_CONFIG, 4,
-                             serial_seconds=1.0)
-    shutdown_pool()
-    assert section["jobs"] == 4
-    assert section["cpus"] >= 1
-    assert section["workers"], "per-worker busy/idle must be recorded"
-    for entry in section["workers"].values():
+    timings, report = _observed_auto_serial_sweep(4)
+    assert "fallback" not in timings
+    assert report["mode"] == "pool"
+    assert report["workers"], "per-worker busy/idle must be recorded"
+    for entry in report["workers"].values():
         assert {"busy_seconds", "idle_seconds",
                 "idle_fraction"} <= set(entry)
-    assert "critical_cell" in section["utilization"]
+    assert report["critical_cell"] is not None
     assert parallel.pool_workers() == 0
 
 
@@ -412,17 +419,15 @@ def test_serial_fallback_reason_thresholds(monkeypatch):
 
 
 def test_bench_parallel_serial_fallback_recorded(monkeypatch):
-    """When the host/matrix cannot amortize the pool, the parallel pass
-    runs serially and records it — check_regression reads the marker to
-    skip the speedup gate instead of failing it."""
+    """When the host/matrix cannot amortize the pool, the sweep runs
+    serially and records it — the parallel speed gate reads the marker
+    to skip instead of failing."""
     monkeypatch.setenv(faultlog.FAULT_LOG_ENV, "")
-    from repro.bench import bench_parallel
-
     monkeypatch.setattr(parallel, "serial_fallback_reason",
                         lambda *args: "host has 1 cpu(s)")
-    section = bench_parallel(MATRIX, EXPERIMENT_CONFIG, 4,
-                             serial_seconds=1.0)
-    shutdown_pool()
-    assert section["fallback"] == "serial"
-    assert section["fallback_reason"] == "host has 1 cpu(s)"
+    timings, report = _observed_auto_serial_sweep(4)
+    assert timings["fallback"] == "serial"
+    assert timings["fallback_reason"] == "host has 1 cpu(s)"
+    assert report["mode"] == "serial"
+    assert report["steals"] == 0
     assert parallel.pool_workers() == 0

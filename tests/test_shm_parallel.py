@@ -16,8 +16,6 @@ Three contracts under test:
   pool report, with figures still bit-identical to serial.
 """
 
-import json
-
 import pytest
 
 from repro.engine.config import EXPERIMENT_CONFIG
@@ -220,20 +218,6 @@ def test_imbalanced_matrix_records_steals():
         == report["steals"]
 
 
-def test_steal_disabled_restores_static_fifo(monkeypatch):
-    from repro.parallel.stealing import STEAL_ENV, stealing_enabled
-
-    monkeypatch.setenv(STEAL_ENV, "0")
-    assert not stealing_enabled()
-    serial = _ok_figures(run_jobs(MATRIX, EXPERIMENT_CONFIG, 1))
-    obs = FabricObs("no-steal")
-    results = run_jobs(MATRIX, EXPERIMENT_CONFIG, 2, obs=obs)
-    obs.finish()
-    assert _ok_figures(results) == serial
-    assert not [s for s in obs.spans if s.name == "steal"]
-    assert "pool.steals" not in obs.metrics.snapshot()["counters"]
-
-
 # ----------------------------------------------------------------------
 # Plan registry: same-name trace objects share replay plans
 # ----------------------------------------------------------------------
@@ -260,48 +244,3 @@ def test_plan_registry_reuses_plans_across_trace_objects():
     assert trace2._plans[key] is plan
 
 
-# ----------------------------------------------------------------------
-# Bench honesty: null speedup on serial fallback
-# ----------------------------------------------------------------------
-def test_check_regression_skips_gate_on_null_speedup(tmp_path, monkeypatch):
-    from repro.bench import check_regression
-
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"quick": {"instr_per_sec": 1000}, "full": {"instr_per_sec": 1000}}))
-    report = {
-        "quick": True,
-        "serial": {"instr_per_sec": 1000},
-        "parallel": {"jobs": 2, "cpus": 1, "speedup_vs_serial": None,
-                     "fallback": "serial",
-                     "fallback_reason": "host has 1 cpu(s)"},
-    }
-    assert check_regression(report, str(baseline)) is None
-    # The gate annotation derives from the null value itself.
-    assert report["baseline"]["parallel_gate"] == "skipped (serial fallback)"
-
-    import repro.bench as bench_mod
-
-    monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 4)
-    report = {
-        "quick": True,
-        "serial": {"instr_per_sec": 1000},
-        "parallel": {"jobs": 2, "cpus": 4, "speedup_vs_serial": 0.8},
-    }
-    error = check_regression(report, str(baseline))
-    assert error is not None and "0.8" in error
-    assert report["baseline"]["parallel_gate"] == "enforced"
-
-
-def test_bench_parallel_reports_null_speedup_on_fallback(monkeypatch):
-    from repro import bench as bench_mod
-    from repro import parallel
-
-    # Force the fallback prediction regardless of host shape.
-    monkeypatch.setattr(parallel, "serial_fallback_reason",
-                        lambda cells, jobs: "forced for test")
-    section = bench_mod.bench_parallel(MATRIX, EXPERIMENT_CONFIG, 2, 1.0)
-    assert section["speedup_vs_serial"] is None
-    assert section["fallback"] == "serial"
-    assert section["fallback_reason"] == "forced for test"
-    assert "steals" in section["utilization"]
